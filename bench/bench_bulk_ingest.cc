@@ -1,5 +1,6 @@
 // BULK: corpus-scale ingest. A loop of per-annotation Commit versus one
-// CommitBatch at 1k/10k/50k annotations, and cold persistence reload
+// CommitBatch at 1k/10k/50k annotations, small live batches into a 50k
+// store, and cold persistence reload
 // (Graphitti::LoadFrom) of a large saved corpus — the path that packs the
 // interval trees / R-trees via the median / STR bulk builds instead of
 // replaying one tree insert and one posting append per referent.
@@ -114,6 +115,35 @@ BENCHMARK(BM_BulkIngest_CommitBatch)
     ->Arg(10000)
     ->Arg(50000)
     ->Unit(benchmark::kMillisecond);
+
+// Live small batches into a large store: a 4-annotation CommitBatch (the
+// size of an interactive multi-mark save) on an engine already holding
+// `range(0)` annotations. Each call runs the batch twice — on the writer's
+// scratch and again when the standby version replays it — so any per-call
+// cost that grows with the store instead of the batch shows up here.
+void BM_BulkIngest_SmallBatchIntoLargeStore(benchmark::State& state) {
+  const size_t n = static_cast<size_t>(state.range(0));
+  constexpr size_t kBatch = 4;
+  auto g = FreshEngine();
+  if (!g->CommitBatch(MakeCorpus(n)).ok()) std::abort();
+  const std::vector<AnnotationBuilder> corpus = MakeCorpus(kBatch * 64);
+  size_t committed = 0;
+  size_t next = 0;
+  for (auto _ : state) {
+    std::vector<AnnotationBuilder> batch(corpus.begin() + static_cast<std::ptrdiff_t>(next),
+                                         corpus.begin() +
+                                             static_cast<std::ptrdiff_t>(next + kBatch));
+    next = (next + kBatch) % corpus.size();
+    auto ids = g->CommitBatch(batch);
+    if (!ids.ok()) std::abort();
+    committed += ids->size();
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(committed));
+  state.counters["store_annotations"] = static_cast<double>(n);
+}
+BENCHMARK(BM_BulkIngest_SmallBatchIntoLargeStore)
+    ->Arg(50000)
+    ->Unit(benchmark::kMicrosecond);
 
 // Saved-corpus directory, built once per size and reused across iterations
 // (SaveTo output is deterministic for a given corpus).

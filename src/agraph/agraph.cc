@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "util/reserve.h"
+
 namespace graphitti {
 namespace agraph {
 
@@ -152,12 +154,12 @@ util::Result<uint32_t> AGraph::DenseIndex(NodeRef ref) const {
 }
 
 void AGraph::Reserve(size_t additional_nodes) {
-  size_t total = refs_.size() + additional_nodes;
-  index_.reserve(total);
-  refs_.reserve(total);
-  node_labels_.reserve(total);
-  out_.reserve(total);
-  in_.reserve(total);
+  const size_t total = refs_.size() + additional_nodes;
+  util::ReserveGeometric(index_, total);
+  util::ReserveGeometric(refs_, total);
+  util::ReserveGeometric(node_labels_, total);
+  util::ReserveGeometric(out_, total);
+  util::ReserveGeometric(in_, total);
 }
 
 uint32_t AGraph::InsertNodeUnchecked(NodeRef ref, std::string label) {

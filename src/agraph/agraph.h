@@ -156,10 +156,17 @@ class AGraph {
   AGraph& operator=(AGraph&&) = default;
 
   /// Pre-sizes node storage (dense arrays + the ref index) for
-  /// `additional_nodes` more nodes, so a batched commit pays one growth
-  /// instead of repeated reallocations and hash rehashes. Edge adjacency is
-  /// per-node and grows on demand. Idempotent and never shrinks.
+  /// `additional_nodes` more nodes, so a batched commit pays at most one
+  /// growth instead of repeated reallocations and hash rehashes. Growth is
+  /// geometric: a call that already fits is a no-op, and one that does not
+  /// grows storage to at least twice its capacity, so any sequence of
+  /// Reserve calls adding n nodes in total reallocates O(log n) times (a
+  /// stream of one-annotation commits must not move every node each time).
+  /// The first reservation on empty storage is exact. Never shrinks. Edge
+  /// adjacency is per-node and grows on demand.
   void Reserve(size_t additional_nodes);
+  /// Nodes the dense node storage holds before its next reallocation.
+  size_t node_capacity() const { return refs_.capacity(); }
 
   /// Adds a node with a display label; AlreadyExists when present.
   util::Status AddNode(NodeRef ref, std::string label = "");

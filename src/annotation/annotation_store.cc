@@ -4,6 +4,7 @@
 #include <unordered_set>
 
 #include "util/dense_set.h"
+#include "util/reserve.h"
 #include "util/string_util.h"
 #include "xml/xml_parser.h"
 #include "xml/xquery.h"
@@ -318,16 +319,25 @@ util::Result<std::vector<AnnotationId>> AnnotationStore::CommitBatchImpl(
   // --- Stage: annotation records, referent interning with spatial
   // insertion deferred into per-domain accumulators, a-graph nodes/edges
   // (with capacity reserved from batch totals), and keyword tokens.
+  // Every reservation here grows geometrically: a stream of small batches
+  // (WAL-tail replay, single commits) must not rehash or move the whole
+  // store on each call.
   graph_->Reserve(node_estimate);
-  referent_by_key_.reserve(referent_by_key_.size() + total_marks);
-  lower_text_.reserve(lower_text_.size() + builders.size());
+  util::ReserveGeometric(referent_by_key_, referent_by_key_.size() + total_marks);
+  util::ReserveGeometric(lower_text_, lower_text_.size() + builders.size());
   BatchStaging staging;
-  // Token posting appends go straight onto the shared lists; first_size
-  // records each touched list's pre-batch length (SIZE_MAX = untouched) so
-  // the flush can restore sortedness with at most one sort + merge per
-  // touched token instead of a global sort over every (token, id) pair.
-  std::vector<size_t> first_size(postings_.size(), SIZE_MAX);
-  std::vector<uint32_t> touched;
+  // Token posting appends go straight onto the shared lists;
+  // posting_base_ records each touched list's pre-batch length so the
+  // flush can restore sortedness with at most one sort + merge per touched
+  // token instead of a global sort over every (token, id) pair. The guard
+  // resets exactly the touched slots on every exit, error paths included.
+  struct TouchedTokens {
+    std::vector<size_t>& base;
+    std::vector<uint32_t> ids;
+    ~TouchedTokens() {
+      for (uint32_t tid : ids) base[tid] = kUntouchedPosting;
+    }
+  } touched{posting_base_, {}};
   // Scratch reused across the whole batch: the tokenization buffer, its
   // word views, and the token-lookup key.
   std::string text_buf;
@@ -390,11 +400,13 @@ util::Result<std::vector<AnnotationId>> AnnotationStore::CommitBatchImpl(
     lower_text_.emplace(id, std::string(text_buf.data(), content_len));
     for (std::string_view w : words) {
       uint32_t tid = InternToken(w);
-      if (tid >= first_size.size()) first_size.resize(postings_.size(), SIZE_MAX);
+      if (tid >= posting_base_.size()) {
+        posting_base_.resize(postings_.size(), kUntouchedPosting);
+      }
       std::vector<AnnotationId>& posting = postings_[tid];
-      if (first_size[tid] == SIZE_MAX) {
-        first_size[tid] = posting.size();
-        touched.push_back(tid);
+      if (posting_base_[tid] == kUntouchedPosting) {
+        posting_base_[tid] = posting.size();
+        touched.ids.push_back(tid);
       }
       posting.push_back(id);
     }
@@ -415,9 +427,9 @@ util::Result<std::vector<AnnotationId>> AnnotationStore::CommitBatchImpl(
   for (auto& [system, entries] : staging.regions) {
     GRAPHITTI_RETURN_NOT_OK(indexes_->BulkLoadRegions(system, std::move(entries)));
   }
-  for (uint32_t tid : touched) {
+  for (uint32_t tid : touched.ids) {
     std::vector<AnnotationId>& posting = postings_[tid];
-    const size_t old_size = first_size[tid];
+    const size_t old_size = posting_base_[tid];
     auto appended = posting.begin() + static_cast<std::ptrdiff_t>(old_size);
     // Batch ids ascend except when forced ids interleave, so the appended
     // run is almost always already sorted and the merge below the

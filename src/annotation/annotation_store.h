@@ -20,6 +20,7 @@
 #define GRAPHITTI_ANNOTATION_ANNOTATION_STORE_H_
 
 #include <atomic>
+#include <cstdint>
 #include <functional>
 #include <map>
 #include <memory>
@@ -360,6 +361,13 @@ class AnnotationStore {
   util::StringInterner token_ids_;
   std::vector<std::vector<AnnotationId>> postings_;
   std::unordered_map<AnnotationId, std::string> lower_text_;
+  // CommitBatch scratch indexed by token id: the pre-batch length of each
+  // posting list the in-flight batch appends to, kUntouchedPosting in
+  // every other slot. It persists across batches and only touched slots
+  // are reset, so a batch pays O(tokens it touches), not O(vocabulary).
+  // Never cloned: a fresh store starts empty and grows it on demand.
+  static constexpr size_t kUntouchedPosting = SIZE_MAX;
+  std::vector<size_t> posting_base_;
 
   std::map<std::string, uint64_t> term_node_ids_;
   std::vector<std::string> term_names_;  // dense id -> qualified name

@@ -846,24 +846,18 @@ Result<std::unique_ptr<Graphitti>> Graphitti::RecoverBinary(
                                persist::ReadWal(*env, plan.wal_path));
     wal_records = std::move(wal.records);
   }
+  auto stash = std::make_unique<PendingRestore>();
+  stash->has_snapshot = plan.has_snapshot;
+  stash->snapshot_body = std::move(plan.snapshot_body);
+  stash->wal_records = std::move(wal_records);
   if (options.eager_restore) {
     // The engine is brand new: its initial version has no observers, so
     // recovery rebuilds it in place.
-    EngineState& state = *g->CurrentState();
-    if (plan.has_snapshot) {
-      GRAPHITTI_RETURN_NOT_OK(g->RestoreFromSnapshotBody(plan.snapshot_body, state));
-    }
-    for (const persist::WalRecord& rec : wal_records) {
-      GRAPHITTI_RETURN_NOT_OK(g->ApplyWalRecord(rec, state));
-    }
-  } else if (plan.has_snapshot || !wal_records.empty()) {
+    GRAPHITTI_RETURN_NOT_OK(g->Hydrate(*stash, *g->CurrentState()));
+  } else if (stash->has_snapshot || !stash->wal_records.empty()) {
     // Fast restart: the snapshot body is already CRC-verified, so decoding
     // it (and replaying the verified tail) is deferred to the first public
     // call — see EnsureHydrated/HydrateNow.
-    auto stash = std::make_unique<PendingRestore>();
-    stash->has_snapshot = plan.has_snapshot;
-    stash->snapshot_body = std::move(plan.snapshot_body);
-    stash->wal_records = std::move(wal_records);
     {
       // Boot-time (g is unshared), but the stash is hydrate-side state —
       // uncontended lock keeps the write statically provable.
@@ -892,6 +886,29 @@ Result<std::unique_ptr<Graphitti>> Graphitti::RecoverBinary(
     (void)env->SyncDir(directory);
   }
   return g;
+}
+
+Status Graphitti::Hydrate(const PendingRestore& input, EngineState& state) {
+  using Clock = std::chrono::steady_clock;
+  const auto micros = [](Clock::duration d) {
+    return static_cast<uint64_t>(
+        std::chrono::duration_cast<std::chrono::microseconds>(d).count());
+  };
+  const Clock::time_point start = Clock::now();
+  if (input.has_snapshot) {
+    GRAPHITTI_RETURN_NOT_OK(RestoreFromSnapshotBody(input.snapshot_body, state));
+  }
+  const Clock::time_point snapshot_done = Clock::now();
+  for (const persist::WalRecord& rec : input.wal_records) {
+    if (hydrate_cancel_.cancelled()) return Status::Cancelled("hydration cancelled");
+    GRAPHITTI_RETURN_NOT_OK(ApplyWalRecord(rec, state));
+  }
+  hydrate_clock_.snapshot_us.store(micros(snapshot_done - start),
+                                   std::memory_order_relaxed);
+  hydrate_clock_.wal_us.store(micros(Clock::now() - snapshot_done),
+                              std::memory_order_relaxed);
+  hydrate_clock_.wal_records.store(input.wal_records.size(), std::memory_order_relaxed);
+  return Status::OK();
 }
 
 void Graphitti::DiscardPartialHydration() {
@@ -928,19 +945,7 @@ Status Graphitti::HydrateNow() const {
   // the WAL, so nothing gets re-logged.
   std::unique_ptr<PendingRestore> stash = std::move(pending_restore_);
   Graphitti* self = const_cast<Graphitti*>(this);
-  EngineState& state = *CurrentState();
-  Status st;
-  if (stash->has_snapshot) st = self->RestoreFromSnapshotBody(stash->snapshot_body, state);
-  if (st.ok()) {
-    for (const persist::WalRecord& rec : stash->wal_records) {
-      if (hydrate_cancel_.cancelled()) {
-        st = Status::Cancelled("hydration cancelled");
-        break;
-      }
-      st = self->ApplyWalRecord(rec, state);
-      if (!st.ok()) break;
-    }
-  }
+  Status st = self->Hydrate(*stash, *CurrentState());
   if (!st.ok()) {
     if (st.IsCancelled()) {
       // Cancellation is retryable, never sticky: throw away the half-built
@@ -1058,6 +1063,9 @@ HealthSnapshot Graphitti::Health() const {
   h.cancelled = gov_counters_.cancelled.load(std::memory_order_relaxed);
   h.resource_exhausted =
       gov_counters_.resource_exhausted.load(std::memory_order_relaxed);
+  h.hydrate_snapshot_us = hydrate_clock_.snapshot_us.load(std::memory_order_relaxed);
+  h.hydrate_wal_us = hydrate_clock_.wal_us.load(std::memory_order_relaxed);
+  h.hydrate_wal_records = hydrate_clock_.wal_records.load(std::memory_order_relaxed);
   if (admission_ != nullptr) h.admission = admission_->Counters();
   return h;
 }

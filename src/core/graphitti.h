@@ -152,6 +152,14 @@ struct HealthSnapshot {
   uint64_t resource_exhausted = 0;
   /// Admission-controller totals (zero when admission is unconfigured).
   util::AdmissionCounters admission;
+  /// Restart hydration clock, set once when a recovered engine finishes
+  /// hydrating (at open with eager_restore, else on first access): wall
+  /// time decoding the snapshot, wall time replaying the WAL tail, and the
+  /// number of tail records replayed. All zero until then, and on engines
+  /// that never recovered anything.
+  uint64_t hydrate_snapshot_us = 0;
+  uint64_t hydrate_wal_us = 0;
+  uint64_t hydrate_wal_records = 0;
 };
 
 /// Configuration for a crash-safe (OpenDurable) engine.
@@ -655,6 +663,12 @@ class Graphitti : public query::ObjectResolver, public query::OntologyResolver {
   /// Slow path: decode + replay into the initial version under
   /// hydrate_mu_.
   util::Status HydrateNow() const;
+  /// Decodes `input`'s snapshot and replays its WAL tail into `state`,
+  /// honouring hydrate_cancel_, and on success records the hydration
+  /// clock for Health(). Boot/recovery only, like ApplyWalRecord; shared
+  /// by the eager open and HydrateNow. On error `state` is partial and the
+  /// caller discards it.
+  util::Status Hydrate(const PendingRestore& input, EngineState& state);
   /// Rolls a cancelled hydration back to boot state (fresh initial
   /// version, engine metadata reset) so a retried hydration decodes from
   /// scratch. Only called from HydrateNow with hydrate_mu_ held.
@@ -735,6 +749,12 @@ class Graphitti : public query::ObjectResolver, public query::OntologyResolver {
   /// Cooperative cancellation for deferred hydration (boot-set from
   /// DurabilityOptions::hydrate_cancel, immutable after).
   util::CancellationToken hydrate_cancel_;
+  /// Hydration clock for Health(): written once by Hydrate, read lock-free.
+  struct HydrateClock {
+    std::atomic<uint64_t> snapshot_us{0};
+    std::atomic<uint64_t> wal_us{0};
+    std::atomic<uint64_t> wal_records{0};
+  } hydrate_clock_;
 };
 
 }  // namespace core

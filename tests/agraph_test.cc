@@ -44,6 +44,35 @@ TEST(AGraphTest, EnsureNodeIsIdempotent) {
   EXPECT_EQ(g.NodeLabel(NodeRef::Content(2)), "late-label");
 }
 
+TEST(AGraphTest, ReserveGrowsGeometrically) {
+  // A stream of one-node batches (WAL-tail replay, single commits) must not
+  // reallocate node storage on every call: count the capacity changes.
+  AGraph g;
+  constexpr uint64_t kRounds = 10000;
+  size_t reallocations = 0;
+  size_t capacity = g.node_capacity();
+  for (uint64_t i = 1; i <= kRounds; ++i) {
+    g.Reserve(1);
+    EXPECT_GE(g.node_capacity(), g.num_nodes() + 1);
+    ASSERT_TRUE(g.AddNode(NodeRef::Content(i)).ok());
+    if (g.node_capacity() != capacity) {
+      ++reallocations;
+      capacity = g.node_capacity();
+    }
+  }
+  EXPECT_EQ(g.num_nodes(), kRounds);
+  // Doubling from 1 reaches 10k in 14 growths; exact-fit growth would take
+  // one per round.
+  EXPECT_LE(reallocations, 16u);
+  // A reservation that already fits changes nothing.
+  g.Reserve(capacity - g.num_nodes());
+  EXPECT_EQ(g.node_capacity(), capacity);
+  // The first reservation on empty storage (a bulk load) is exact.
+  AGraph bulk;
+  bulk.Reserve(1000);
+  EXPECT_EQ(bulk.node_capacity(), 1000u);
+}
+
 TEST(AGraphTest, EdgesRequireEndpoints) {
   AGraph g;
   ASSERT_TRUE(g.AddNode(NodeRef::Content(1)).ok());

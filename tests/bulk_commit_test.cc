@@ -271,6 +271,36 @@ TEST(CommitBatch, ForcedIdCollisionsRejected) {
   EXPECT_TRUE(g->ValidateIntegrity().ok());
 }
 
+TEST(CommitBatch, SmallOutOfOrderBatchesKeepPostingsSorted) {
+  // Each batch repairs the sortedness of exactly the posting lists it
+  // appended to, using bookkeeping that must be clean again for the next
+  // batch: a stream of small batches whose forced ids land below, between
+  // and above existing ids keeps every list ascending.
+  auto g = FreshEngine();
+  const std::vector<std::vector<AnnotationId>> batches = {
+      {100, 101}, {50, 51}, {10, 200}, {75}, {5, 150, 60}, {300}, {1, 2}};
+  std::vector<AnnotationId> all, evens;
+  for (const std::vector<AnnotationId>& ids : batches) {
+    std::vector<AnnotationBuilder> builders;
+    for (AnnotationId id : ids) {
+      AnnotationBuilder b;
+      std::string body = "shared";
+      if (id % 2 == 0) body += " even";
+      b.Title("forced").Body(body).MarkInterval("flu:seg0", 1, 10);
+      builders.push_back(b);
+      all.push_back(id);
+      if (id % 2 == 0) evens.push_back(id);
+    }
+    auto committed = g->annotations().CommitBatch(builders, ids);
+    ASSERT_TRUE(committed.ok()) << committed.status().ToString();
+    std::sort(all.begin(), all.end());
+    std::sort(evens.begin(), evens.end());
+    EXPECT_EQ(g->annotations().SearchKeyword("shared"), all);
+    EXPECT_EQ(g->annotations().SearchKeyword("even"), evens);
+  }
+  EXPECT_TRUE(g->ValidateIntegrity().ok());
+}
+
 // Regression for the ISSUE-5 bugfix: a mark that fails partway through
 // Commit's marks loop (valid substructure, registered system, but the rect
 // dims mismatch its coordinate system — caught only at index insertion)

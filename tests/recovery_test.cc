@@ -3,7 +3,10 @@
 // covers the recovery state machine on intact (or hand-damaged) directories.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
+#include <sstream>
+#include <tuple>
 
 #include "core/graphitti.h"
 #include "core/workload.h"
@@ -310,6 +313,149 @@ TEST(RecoveryTest, CheckpointRightAfterOpenHydratesFirst) {
   EXPECT_EQ(g->generation(), 1u);
   EXPECT_EQ(g->Stats().num_annotations, 2u);
   EXPECT_TRUE(g->ValidateIntegrity().ok());
+}
+
+// Everything a restart must reproduce, read through the const accessors:
+// annotation count, keyword postings, interval and region windows, a-graph
+// paths between content nodes, and the full a-graph dump.
+std::string Fingerprint(const Graphitti& g, annotation::AnnotationId max_id) {
+  std::ostringstream out;
+  out << "annotations " << g.Stats().num_annotations << "\n";
+  for (int w = 0; w < 40; ++w) {
+    out << "kw" << w << ":";
+    for (annotation::AnnotationId id : g.annotations().SearchKeyword("kw" + std::to_string(w))) {
+      out << " " << id;
+    }
+    out << "\n";
+  }
+  for (int64_t lo = 0; lo < 500; lo += 70) {
+    std::vector<spatial::IntervalEntry> window =
+        g.indexes().QueryIntervals("flu:seg4", spatial::Interval{lo, lo + 35});
+    std::sort(window.begin(), window.end(), [](const auto& x, const auto& y) {
+      return std::tie(x.interval.lo, x.interval.hi, x.id) <
+             std::tie(y.interval.lo, y.interval.hi, y.id);
+    });
+    out << "iv" << lo << ":";
+    for (const spatial::IntervalEntry& e : window) {
+      out << " " << e.interval.lo << "-" << e.interval.hi << "#" << e.id;
+    }
+    out << "\n";
+  }
+  for (double x = 0; x < 100; x += 17) {
+    auto regions =
+        g.indexes().QueryRegions("atlas", spatial::Rect::Make2D(x, x, x + 9, x + 9));
+    EXPECT_TRUE(regions.ok()) << regions.status().ToString();
+    out << "rg" << x << ":";
+    if (regions.ok()) {
+      for (const spatial::RTreeEntry& e : *regions) out << " " << e.id;
+    }
+    out << "\n";
+  }
+  for (annotation::AnnotationId a = 1; a <= max_id; a += 97) {
+    for (annotation::AnnotationId b = a + 13; b <= max_id; b += 389) {
+      auto path = g.graph().FindPath(agraph::NodeRef::Content(a), agraph::NodeRef::Content(b));
+      out << "path " << a << "-" << b << ": "
+          << (path.ok() ? std::to_string(path->hops()) : "none") << "\n";
+    }
+  }
+  out << g.ExportAGraph();
+  return out.str();
+}
+
+TEST(RecoveryTest, LongSingleCommitTailRecoversInBothModes) {
+  // A restart replays a tail of one-annotation WAL records. Thousands of
+  // them, interleaved with removals and introducing new keywords as they
+  // go, must rebuild exactly the pre-close engine, deferred or eager.
+  constexpr int kSnapshotAnnotations = 200;
+  constexpr int kTailCommits = 2000;
+  FaultInjectionEnv env;
+  std::string before;
+  annotation::AnnotationId max_id = 0;
+  size_t tail_records = 0;
+  {
+    auto g = MustOpen(&env);
+    ASSERT_TRUE(g->RegisterCoordinateSystem("atlas", 2).ok());
+    uint64_t seq = *g->IngestDnaSequence("AF7", "H3N2", "flu:seg4", "ACGTACGT");
+    auto commit = [&](int i) {
+      AnnotationBuilder b;
+      b.Title("note " + std::to_string(i)).Creator("tester");
+      // Keywords rotate through a vocabulary that grows with i, so the tail
+      // both extends existing posting lists and starts new ones.
+      b.Body("kw" + std::to_string(i % 7) + " kw" + std::to_string(i % 40) + " kw" +
+             std::to_string(std::min(39, i / 60)));
+      const int64_t lo = (i % 50) * 10;
+      b.MarkInterval("flu:seg4", lo, lo + 15, i % 3 == 0 ? seq : 0);
+      if (i % 4 == 0) {
+        const double x = static_cast<double>(i % 90);
+        b.MarkRegion("atlas", spatial::Rect::Make2D(x, x, x + 4, x + 4));
+      }
+      auto id = g->Commit(b);
+      ASSERT_TRUE(id.ok()) << id.status().ToString();
+      max_id = std::max(max_id, *id);
+    };
+    for (int i = 0; i < kSnapshotAnnotations; ++i) commit(i);
+    ASSERT_TRUE(g->Checkpoint().ok());
+    for (int i = kSnapshotAnnotations; i < kSnapshotAnnotations + kTailCommits; ++i) {
+      commit(i);
+      ++tail_records;
+      if (i % 5 == 0) {
+        // Remove an older annotation: some from the snapshot, most from
+        // the tail itself.
+        const annotation::AnnotationId victim = static_cast<annotation::AnnotationId>(i / 2);
+        if (g->annotations().Get(victim) != nullptr) {
+          ASSERT_TRUE(g->RemoveAnnotation(victim).ok());
+          ++tail_records;
+        }
+      }
+    }
+    before = Fingerprint(*g, max_id);
+    EXPECT_TRUE(g->ValidateIntegrity().ok());
+  }
+
+  auto deferred = MustOpen(&env);
+  EXPECT_TRUE(deferred->Health().hydration_pending);
+  EXPECT_EQ(deferred->Health().hydrate_wal_records, 0u);
+  EXPECT_EQ(Fingerprint(*deferred, max_id), before);
+  EXPECT_TRUE(deferred->ValidateIntegrity().ok());
+  const HealthSnapshot deferred_health = deferred->Health();
+  EXPECT_FALSE(deferred_health.hydration_pending);
+  EXPECT_EQ(deferred_health.hydrate_wal_records, tail_records);
+  deferred.reset();
+
+  DurabilityOptions eager_opts;
+  eager_opts.env = &env;
+  eager_opts.eager_restore = true;
+  auto eager = Graphitti::OpenDurable(kDir, eager_opts);
+  ASSERT_TRUE(eager.ok()) << eager.status().ToString();
+  EXPECT_EQ((*eager)->Health().hydrate_wal_records, tail_records);
+  EXPECT_EQ(Fingerprint(**eager, max_id), before);
+  EXPECT_TRUE((*eager)->ValidateIntegrity().ok());
+}
+
+TEST(RecoveryTest, HealthReportsHydrationClock) {
+  FaultInjectionEnv env;
+  {
+    auto g = MustOpen(&env);
+    // A fresh directory has nothing to hydrate.
+    EXPECT_EQ(g->Health().hydrate_wal_records, 0u);
+    CommitOne(g.get(), "in snapshot");
+    ASSERT_TRUE(g->Checkpoint().ok());
+    CommitOne(g.get(), "tail one");
+    CommitOne(g.get(), "tail two");
+    // Live commits never touch the hydration clock.
+    EXPECT_EQ(g->Health().hydrate_wal_records, 0u);
+    EXPECT_EQ(g->Health().hydrate_snapshot_us, 0u);
+  }
+  auto g = MustOpen(&env);
+  EXPECT_EQ(g->Health().hydrate_wal_records, 0u);  // deferred: not yet run
+  EXPECT_EQ(g->Stats().num_annotations, 3u);      // first access hydrates
+  const HealthSnapshot h = g->Health();
+  EXPECT_EQ(h.hydrate_wal_records, 2u);
+  // Later commits leave the recorded clock as it was.
+  CommitOne(g.get(), "after restart");
+  EXPECT_EQ(g->Health().hydrate_wal_records, 2u);
+  EXPECT_EQ(g->Health().hydrate_snapshot_us, h.hydrate_snapshot_us);
+  EXPECT_EQ(g->Health().hydrate_wal_us, h.hydrate_wal_us);
 }
 
 // --- Real-filesystem cases: legacy XML upgrade and LoadFrom auto-detect ---
